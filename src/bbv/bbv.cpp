@@ -22,13 +22,6 @@ BbvCollector::onBlock(trace::BlockId block, uint32_t instructions)
     weight += instructions;
 }
 
-void
-BbvCollector::addBlockWeight(trace::BlockId block, uint64_t instructions)
-{
-    counts[block] += instructions;
-    weight += instructions;
-}
-
 double
 projectionCoefficient(trace::BlockId block, size_t d, uint64_t seed)
 {
@@ -55,9 +48,7 @@ BbvCollector::finalizeInterval()
         // Accumulate in sorted block order: float addition is not
         // associative, and the map's iteration order is unspecified.
         // A fixed order makes the vector a pure function of the
-        // (block, count) multiset, so any path that produces the same
-        // per-interval counts — serial or sharded-and-merged — yields
-        // bit-identical vectors.
+        // (block, count) multiset, independent of insertion history.
         std::vector<std::pair<trace::BlockId, uint64_t>> ordered(
             counts.begin(), counts.end());
         std::sort(ordered.begin(), ordered.end());

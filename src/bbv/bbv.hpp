@@ -39,13 +39,6 @@ class BbvCollector : public trace::TraceSink
 
     void onBlock(trace::BlockId block, uint32_t instructions) override;
 
-    /**
-     * Bulk form of onBlock for merged per-interval counts (the sharded
-     * profile accumulates integer block counts per chunk and feeds the
-     * merged map here). Same accumulation, 64-bit count.
-     */
-    void addBlockWeight(trace::BlockId block, uint64_t instructions);
-
     /** BBVs ignore data accesses; skip the per-access default loop. */
     void onAccessBatch(const trace::Addr *, size_t) override {}
 

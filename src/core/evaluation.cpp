@@ -8,10 +8,8 @@
 
 #include <bit>
 
-#include "cache/sharded_sim.hpp"
 #include "reuse/sharded_reuse.hpp"
 #include "support/logging.hpp"
-#include "support/parallel_for.hpp"
 #include "support/stats.hpp"
 #include "trace/instrument.hpp"
 #include "trace/codec.hpp"
@@ -929,126 +927,6 @@ collectIntervals(const std::function<void(trace::TraceSink &)> &runner,
     registerIntervalProfile(plan, "run@local", runner, unit_accesses,
                             bbv_dims, &out);
     plan.run();
-    return out;
-}
-
-namespace {
-
-/**
- * Chunk-local pass of the sharded interval profile: a chunk-local
- * stack simulation plus block weights bucketed by global unit index
- * (the serial driver cuts after the access completing a unit, so a
- * block event at access clock c belongs to unit c / unitAccesses).
- */
-class ChunkIntervalSink : public trace::TraceSink
-{
-  public:
-    ChunkIntervalSink(const cache::ShardedSimConfig &cfg,
-                      const trace::MemoryTrace::ChunkRange &range)
-        : sim(cfg, range.firstAccess), unitAccesses(cfg.unitAccesses),
-          firstAccess(range.firstAccess)
-    {
-    }
-
-    void
-    onBlock(trace::BlockId block, uint32_t instructions) override
-    {
-        uint64_t clock = firstAccess + sim.accessCount();
-        size_t rel = static_cast<size_t>(clock / unitAccesses -
-                                         sim.firstUnit());
-        if (rel >= blockCounts.size())
-            blockCounts.resize(rel + 1);
-        blockCounts[rel][block] += instructions;
-    }
-
-    void onAccess(trace::Addr addr) override { sim.onAccess(addr); }
-
-    void
-    onAccessBatch(const trace::Addr *addrs, size_t n) override
-    {
-        sim.onAccessBatch(addrs, n);
-    }
-
-    void onEnd() override { sawEnd = true; }
-
-    cache::ShardedSimChunk sim;
-    /** Per chunk-relative unit: merged integer block weights. */
-    std::vector<std::unordered_map<trace::BlockId, uint64_t>> blockCounts;
-    bool sawEnd = false;
-
-  private:
-    uint64_t unitAccesses;
-    uint64_t firstAccess;
-};
-
-} // namespace
-
-IntervalProfile
-collectIntervalsSharded(const trace::MemoryTrace &trace,
-                        uint64_t unit_accesses, size_t bbv_dims,
-                        uint64_t chunk_accesses, support::ThreadPool *pool)
-{
-    LPP_REQUIRE(unit_accesses > 0, "unit size must be positive");
-    support::ThreadPool &tp =
-        pool ? *pool : support::ThreadPool::shared();
-
-    cache::ShardedSimConfig cfg;
-    cfg.unitAccesses = unit_accesses;
-
-    std::vector<trace::MemoryTrace::ChunkRange> ranges =
-        trace.chunks(chunk_accesses);
-    cache::ShardedStackSim sim(cfg);
-    std::vector<std::unordered_map<trace::BlockId, uint64_t>> unitBlocks;
-    bool sawEnd = false;
-
-    // Waves bound peak memory to (pool size + 1) chunk states while
-    // keeping every pool thread and the caller busy during the local
-    // passes; the reduction between waves is strictly in chunk order.
-    size_t waveSize = tp.threadCount() + 1;
-    std::vector<trace::TraceCursor> cursors;
-    cursors.reserve(waveSize);
-    for (size_t i = 0; i < waveSize; ++i)
-        cursors.emplace_back(trace);
-    for (size_t begin = 0; begin < ranges.size(); begin += waveSize) {
-        size_t count = std::min(waveSize, ranges.size() - begin);
-        std::vector<std::unique_ptr<ChunkIntervalSink>> sinks(count);
-        support::parallelFor(tp, count, [&](size_t i) {
-            sinks[i] = std::make_unique<ChunkIntervalSink>(
-                cfg, ranges[begin + i]);
-            cursors[i].replayRange(*sinks[i], ranges[begin + i]);
-        });
-        for (size_t i = 0; i < count; ++i) {
-            ChunkIntervalSink &s = *sinks[i];
-            sim.absorb(s.sim);
-            size_t base = static_cast<size_t>(s.sim.firstUnit());
-            if (base + s.blockCounts.size() > unitBlocks.size())
-                unitBlocks.resize(base + s.blockCounts.size());
-            for (size_t r = 0; r < s.blockCounts.size(); ++r)
-                for (const auto &kv : s.blockCounts[r])
-                    unitBlocks[base + r][kv.first] += kv.second;
-            sawEnd = sawEnd || s.sawEnd;
-            sinks[i].reset();
-        }
-    }
-
-    // The serial driver closes a trailing partial unit only when the
-    // stream delivers its end event; chunk partials always count, so
-    // mirror the serial cut here. Block events past the last closed
-    // unit are dropped on both paths.
-    size_t n = sim.units().size();
-    if (!sawEnd && n > 0 && trace.accessCount() % unit_accesses != 0)
-        --n;
-
-    IntervalProfile out;
-    out.units.assign(sim.units().begin(), sim.units().begin() + n);
-    bbv::BbvCollector bbv(bbv_dims);
-    for (size_t u = 0; u < n; ++u) {
-        if (u < unitBlocks.size())
-            for (const auto &kv : unitBlocks[u])
-                bbv.addBlockWeight(kv.first, kv.second);
-        bbv.finalizeInterval();
-    }
-    out.bbvs = bbv.vectors();
     return out;
 }
 

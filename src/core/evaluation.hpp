@@ -236,23 +236,6 @@ collectIntervals(const std::function<void(trace::TraceSink &)> &runner,
                  uint64_t unit_accesses, size_t bbv_dims = 32);
 
 /**
- * Sharded collectIntervals over a recorded trace: the recording is cut
- * into chunks of ~`chunk_accesses` accesses, each chunk runs a local
- * stack-simulation pass on a pool thread (cache::ShardedSimChunk) while
- * bucketing block weights by global unit index, and a sequential
- * reduction in chunk order resolves cross-chunk LRU depths and merges
- * the integer per-unit block counts before projecting each unit's BBV.
- * Every per-unit miss counter and BBV coordinate is bit-identical to
- * collectIntervals over a full replay of the same recording, at every
- * chunk size and thread count. `pool` defaults to the shared pool.
- */
-IntervalProfile
-collectIntervalsSharded(const trace::MemoryTrace &trace,
-                        uint64_t unit_accesses, size_t bbv_dims = 32,
-                        uint64_t chunk_accesses = 1ULL << 20,
-                        support::ThreadPool *pool = nullptr);
-
-/**
  * Register an interval-profile pass under `key` on `plan`. A pass with
  * an equal key (e.g. a workload evaluation's reference execution) and
  * no dependency path to this one shares its program execution. `out`

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "support/logging.hpp"
-#include "trace/memory_trace.hpp"
 
 namespace lpp::trace {
 
@@ -59,193 +58,6 @@ writeVarint(std::vector<uint8_t> &out, uint64_t v)
 }
 
 } // namespace
-
-void
-TraceEncoder::putVarint(uint64_t v)
-{
-    writeVarint(out, v);
-}
-
-void
-TraceEncoder::putDelta(uint64_t value, uint64_t &prev)
-{
-    putVarint(zigzag(value, prev));
-    prev = value;
-}
-
-void
-TraceEncoder::onBlock(BlockId block, uint32_t instructions)
-{
-    out.push_back(static_cast<uint8_t>(TraceOp::Block));
-    putDelta(block, prevBlock);
-    putVarint(instructions);
-    ++events;
-}
-
-void
-TraceEncoder::onAccess(Addr addr)
-{
-    out.push_back(static_cast<uint8_t>(TraceOp::Access));
-    putDelta(addr, prevAddr);
-    ++events;
-    ++accesses;
-}
-
-void
-TraceEncoder::onAccessBatch(const Addr *addrs, size_t n)
-{
-    out.push_back(static_cast<uint8_t>(TraceOp::Batch));
-    putVarint(n);
-    // Worst case ten bytes per delta. Grow geometrically: reserving
-    // just past size() per batch would force a full copy of the
-    // payload on every batch — quadratic over the whole stream.
-    if (out.capacity() - out.size() < 10 * n)
-        out.reserve(std::max(out.capacity() * 2, out.size() + 10 * n));
-    for (size_t i = 0; i < n; ++i)
-        putDelta(addrs[i], prevAddr);
-    ++events;
-    accesses += n;
-}
-
-void
-TraceEncoder::onManualMarker(uint32_t marker_id)
-{
-    out.push_back(static_cast<uint8_t>(TraceOp::Manual));
-    putVarint(marker_id);
-    ++events;
-}
-
-void
-TraceEncoder::onPhaseMarker(PhaseId phase)
-{
-    out.push_back(static_cast<uint8_t>(TraceOp::Phase));
-    putVarint(phase);
-    ++events;
-}
-
-void
-TraceEncoder::onEnd()
-{
-    out.push_back(static_cast<uint8_t>(TraceOp::End));
-    ++events;
-}
-
-bool
-decodeTrace(const uint8_t *data, size_t size, TraceSink &sink,
-            uint64_t *events_out, uint64_t *accesses_out)
-{
-    const uint8_t *p = data;
-    const uint8_t *end = data + size;
-    uint64_t prevAddr = 0;
-    uint64_t prevBlock = 0;
-    uint64_t events = 0;
-    uint64_t accesses = 0;
-    std::vector<Addr> batch;
-
-    while (p < end) {
-        uint8_t op = *p++;
-        switch (static_cast<TraceOp>(op)) {
-          case TraceOp::Block: {
-            uint64_t d = 0, instrs = 0;
-            if (!readVarint(p, end, d) || !readVarint(p, end, instrs))
-                return false;
-            prevBlock = unzigzag(d, prevBlock);
-            sink.onBlock(static_cast<BlockId>(prevBlock),
-                         static_cast<uint32_t>(instrs));
-            break;
-          }
-          case TraceOp::Access: {
-            uint64_t d = 0;
-            if (!readVarint(p, end, d))
-                return false;
-            prevAddr = unzigzag(d, prevAddr);
-            sink.onAccess(prevAddr);
-            ++accesses;
-            break;
-          }
-          case TraceOp::Batch: {
-            uint64_t n = 0;
-            if (!readVarint(p, end, n))
-                return false;
-            // A batch cannot have more deltas than remaining bytes;
-            // reject early so a corrupt length cannot force a huge
-            // allocation.
-            if (n > static_cast<uint64_t>(end - p))
-                return false;
-            batch.resize(static_cast<size_t>(n));
-            Addr *dst = batch.data();
-            size_t i = 0;
-            // Unrolled fast path: while at least four worst-case
-            // varints remain, decode four deltas without per-byte
-            // bounds checks in readVarint's loop condition.
-            while (i + 4 <= n &&
-                   end - p >= 4 * 10) {
-                for (int k = 0; k < 4; ++k) {
-                    uint64_t coded = 0;
-                    unsigned shift = 0;
-                    uint8_t byte = 0x80;
-                    while (byte & 0x80) {
-                        // Ten bytes bound a 64-bit varint; a longer
-                        // run is corruption, not data.
-                        if (shift >= 70)
-                            return false;
-                        byte = *p++;
-                        coded |=
-                            static_cast<uint64_t>(byte & 0x7F) << shift;
-                        shift += 7;
-                    }
-                    prevAddr = unzigzag(coded, prevAddr);
-                    dst[i + static_cast<size_t>(k)] = prevAddr;
-                }
-                i += 4;
-            }
-            for (; i < n; ++i) {
-                uint64_t coded = 0;
-                if (!readVarint(p, end, coded))
-                    return false;
-                prevAddr = unzigzag(coded, prevAddr);
-                dst[i] = prevAddr;
-            }
-            sink.onAccessBatch(dst, static_cast<size_t>(n));
-            accesses += n;
-            break;
-          }
-          case TraceOp::Manual: {
-            uint64_t id = 0;
-            if (!readVarint(p, end, id))
-                return false;
-            sink.onManualMarker(static_cast<uint32_t>(id));
-            break;
-          }
-          case TraceOp::Phase: {
-            uint64_t id = 0;
-            if (!readVarint(p, end, id))
-                return false;
-            sink.onPhaseMarker(static_cast<PhaseId>(id));
-            break;
-          }
-          case TraceOp::End:
-            sink.onEnd();
-            break;
-          default:
-            return false;
-        }
-        ++events;
-    }
-    if (events_out)
-        *events_out = events;
-    if (accesses_out)
-        *accesses_out = accesses;
-    return true;
-}
-
-std::vector<uint8_t>
-encodeTrace(const MemoryTrace &trace)
-{
-    TraceEncoder enc;
-    trace.replay(enc);
-    return enc.take();
-}
 
 uint64_t
 contentHash64(const uint8_t *data, size_t size)
@@ -473,7 +285,7 @@ unpackFrame(const FrameInfo &info, const uint8_t *events,
     return true;
 }
 
-// Predictive frame codec (v2) ---------------------------------------
+// Predictive frame codec -------------------------------------------
 
 bool
 PredictorConfig::valid() const
@@ -524,7 +336,7 @@ AddressPredictor::predict() const
 {
     const Entry &e = table[index()];
     if (e.epoch != epoch)
-        return prevAddr; // cold entry: v1 delta-chain fallback
+        return prevAddr; // cold entry: plain delta-chain fallback
     if (e.prevConf > e.conf) // cross-lane mode won the classification
         return prevAddr + static_cast<uint64_t>(e.prevDelta);
     if (e.conf == 0 || e.chosen >= e.filled)

@@ -1,20 +1,12 @@
 /**
  * @file
- * Compact binary codecs for trace event streams.
+ * Compact binary codec for trace event streams.
  *
- * Two generations live here. The v1 codec delta-codes the address
- * stream (one running predecessor across single accesses and batches
- * alike), zig-zags the signed deltas, and varint-packs the result —
- * two or three bytes per access on a typical workload. It survives as
- * the canonical flat serialization the equivalence tests compare with
- * (encodeTrace of two streams is equal iff the streams are
- * bit-identical).
- *
- * The v2 *frame* codec adds a history-predictive stage. Workload
- * address streams are not just local, they are *predictable*: the same
- * static reference (block, operand slot) walks an affine sequence, so
- * a per-(block, lane) value predictor — a Value Prediction Table
- * holding the last address and a short stride history, classified by a
+ * The frame codec is history-predictive. Workload address streams are
+ * not just local, they are *predictable*: the same static reference
+ * (block, operand slot) walks an affine sequence, so a per-(block,
+ * lane) value predictor — a Value Prediction Table holding the last
+ * address and a short stride history, classified by a
  * saturating-confidence table — guesses most addresses outright. The
  * encoder then spends one bitmap *bit* per predicted access and emits
  * varint residue only for mispredictions. Streams are cut into frames
@@ -62,74 +54,16 @@
 
 namespace lpp::trace {
 
-class StreamingTrace;
-using MemoryTrace = StreamingTrace;
-
 /** Event opcodes of the encoded stream (one byte each). */
 enum class TraceOp : uint8_t
 {
     Block = 0,  //!< zigzag(blockId delta), varint(instructions)
-    Access = 1, //!< v1: zigzag(address delta); v2: no operands
-    Batch = 2,  //!< v1: varint(n), n deltas; v2: varint(n) only
+    Access = 1, //!< no operands (address from bitmap/residue)
+    Batch = 2,  //!< varint(n); addresses from bitmap/residue
     Manual = 3, //!< varint(marker id)
     Phase = 4,  //!< varint(phase id)
     End = 5,    //!< no operands
 };
-
-/**
- * Sink that delta + varint encodes the stream it observes (v1 flat
- * codec). Feed it a live execution (or StreamingTrace::replay) and
- * take() the bytes.
- */
-class TraceEncoder : public TraceSink
-{
-  public:
-    void onBlock(BlockId block, uint32_t instructions) override;
-    void onAccess(Addr addr) override;
-    void onAccessBatch(const Addr *addrs, size_t n) override;
-    void onManualMarker(uint32_t marker_id) override;
-    void onPhaseMarker(PhaseId phase) override;
-    void onEnd() override;
-
-    /** @return the encoded payload so far. */
-    const std::vector<uint8_t> &bytes() const { return out; }
-
-    /** @return the encoded payload (moves it out). */
-    std::vector<uint8_t> take() { return std::move(out); }
-
-    /** @return events encoded (a batch counts as one event). */
-    uint64_t eventCount() const { return events; }
-
-    /** @return data accesses encoded. */
-    uint64_t accessCount() const { return accesses; }
-
-  private:
-    void putVarint(uint64_t v);
-    void putDelta(uint64_t value, uint64_t &prev);
-
-    std::vector<uint8_t> out;
-    uint64_t prevAddr = 0;
-    uint64_t prevBlock = 0;
-    uint64_t events = 0;
-    uint64_t accesses = 0;
-};
-
-/**
- * Decode a v1 flat payload, re-delivering the stream into `sink` with
- * the original event order and batch boundaries. Strict: any malformed
- * byte (unknown opcode, truncated varint, truncated batch) aborts the
- * decode and returns false — the caller falls back to live execution.
- *
- * @param events_out   decoded event count (valid on success)
- * @param accesses_out decoded access count (valid on success)
- */
-bool decodeTrace(const uint8_t *data, size_t size, TraceSink &sink,
-                 uint64_t *events_out = nullptr,
-                 uint64_t *accesses_out = nullptr);
-
-/** Encode a recording with the v1 flat codec (replays it through a
- *  TraceEncoder). The canonical stream-equality serialization. */
-std::vector<uint8_t> encodeTrace(const MemoryTrace &trace);
 
 /**
  * 64-bit content hash (FNV-1a over 8-byte lanes with a finalizing
@@ -162,7 +96,7 @@ size_t lzPack(const uint8_t *src, size_t n, std::vector<uint8_t> &out);
 bool lzUnpack(const uint8_t *src, size_t n, uint8_t *dst,
               size_t dst_bytes);
 
-// Predictive frame codec (v2) ---------------------------------------
+// Predictive frame codec ---------------------------------------------
 
 /** Geometry of the address predictor both codec sides run. */
 struct PredictorConfig
@@ -274,7 +208,7 @@ bool unpackFrame(const FrameInfo &info, const uint8_t *events,
  * saturating confidence counter per entry. Prediction is last-value
  * at low confidence and last + chosen-history-stride otherwise; a
  * cold entry falls back to the running previous address, which makes
- * the worst case exactly the v1 delta chain. The matched stride slot
+ * the worst case exactly a plain delta chain. The matched stride slot
  * is remembered as `chosen`, and because updates push the observed
  * stride to the ring's front, slot k keeps predicting stride patterns
  * of period k+1 (constant strides at k = 0, alternating pairs at

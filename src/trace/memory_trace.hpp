@@ -219,7 +219,7 @@ class StreamingTrace : public TraceSink
 };
 
 /** The frame-backed recorder is the MemoryTrace of this codebase. */
-// (Alias declared in trace/codec.hpp next to the forward declaration.)
+using MemoryTrace = StreamingTrace;
 
 /**
  * Stateful streaming reader over a StreamingTrace: binds one

@@ -188,11 +188,15 @@ openEntry(const std::string &path, const std::string &key,
         storedKey != key)
         return false;
 
+    // Bound each header count by the file size before summing them:
+    // a hostile frameCount or payloadBytes must not wrap the size
+    // check into a match (and later into a huge allocation).
     std::error_code ec;
     auto onDisk = std::filesystem::file_size(path, ec);
-    if (ec || onDisk != headerBytes + h.keyBytes +
-                            h.frameCount * indexEntryBytes +
-                            h.payloadBytes)
+    if (ec || h.frameCount > onDisk / indexEntryBytes ||
+        h.payloadBytes > onDisk ||
+        onDisk != headerBytes + h.keyBytes +
+                      h.frameCount * indexEntryBytes + h.payloadBytes)
         return false;
     entry.fileBytes = onDisk;
     return true;
@@ -202,7 +206,9 @@ openEntry(const std::string &path, const std::string &key,
  * Read and verify the frame directory of an open entry: the directory
  * hash must match the header and the entries must tile the stream —
  * monotone offsets starting at zero, counts and payload sizes summing
- * to the header totals.
+ * to the header totals. Every stored section must fit in the payload
+ * bytes the earlier frames left over, so no frame can claim (or wrap
+ * into) more bytes than the file holds.
  */
 bool
 readIndex(OpenEntry &entry, std::vector<FrameInfo> &index)
@@ -220,7 +226,13 @@ readIndex(OpenEntry &entry, std::vector<FrameInfo> &index)
     index.resize(static_cast<size_t>(h.frameCount));
     const uint8_t *p = raw.data();
     const uint8_t *end = raw.data() + raw.size();
-    uint64_t events = 0, accesses = 0, payload = 0;
+    uint64_t events = 0, accesses = 0, payloadLeft = h.payloadBytes;
+    auto take = [&payloadLeft](uint64_t bytes) {
+        if (bytes > payloadLeft)
+            return false;
+        payloadLeft -= bytes;
+        return true;
+    };
     for (FrameInfo &f : index) {
         if (!parseIndexEntry(p, end, f))
             return false;
@@ -233,12 +245,14 @@ readIndex(OpenEntry &entry, std::vector<FrameInfo> &index)
             f.storedBitmapBytes > f.bitmapBytes ||
             f.storedResidueBytes > f.residueBytes)
             return false;
+        if (!take(f.storedEventBytes) || !take(f.storedBitmapBytes) ||
+            !take(f.storedResidueBytes))
+            return false;
         events += f.events;
         accesses += f.accesses;
-        payload += f.payloadBytes();
     }
     return events == h.eventCount && accesses == h.accessCount &&
-           payload == h.payloadBytes;
+           payloadLeft == 0;
 }
 
 /** Filesystem-safe rendering of an execution key. */
@@ -303,57 +317,6 @@ TraceStore::lookup(const std::string &key, uint64_t params_hash) const
     info.payloadBytes = entry.header.payloadBytes;
     info.fileBytes = entry.fileBytes;
     return info;
-}
-
-bool
-TraceStore::replay(const std::string &key, uint64_t params_hash,
-                   TraceSink &sink) const
-{
-    OpenEntry entry;
-    const std::string path = pathFor(key, params_hash);
-    if (!openEntry(path, key, params_hash, entry))
-        return false;
-    std::vector<FrameInfo> index;
-    if (!readIndex(entry, index)) {
-        warn("trace store: corrupt frame directory for '%s' (%s); "
-             "falling back to live execution",
-             key.c_str(), path.c_str());
-        return false;
-    }
-
-    // Stream one frame at a time through reused buffers: peak memory
-    // is one frame payload plus one decoded batch, independent of how
-    // long the recorded execution ran.
-    PredictorConfig cfg{entry.header.tableBits, entry.header.laneBits,
-                        entry.header.historyDepth};
-    FrameDecoder dec(cfg);
-    std::vector<uint8_t> payload;
-    FrameSections sections;
-    std::vector<Addr> scratch;
-    for (const FrameInfo &f : index) {
-        if (!readFramePayload(entry, f, payload)) {
-            warn("trace store: frame hash mismatch for '%s' (%s); "
-                 "falling back to live execution",
-                 key.c_str(), path.c_str());
-            return false;
-        }
-        if (!unpackFrame(f, payload.data(), sections)) {
-            warn("trace store: corrupt packed section for '%s' (%s); "
-                 "falling back to live execution",
-                 key.c_str(), path.c_str());
-            return false;
-        }
-        dec.begin(f, sections.events, sections.bitmap,
-                  sections.residue);
-        for (;;) {
-            FrameDecoder::Status st = dec.next(&sink, scratch);
-            if (st == FrameDecoder::Status::Done)
-                break;
-            if (st == FrameDecoder::Status::Error)
-                return false;
-        }
-    }
-    return true;
 }
 
 bool

@@ -16,9 +16,8 @@
  * codec seeds, and a payload hash — and is itself hash-guarded, so a
  * load verifies the directory once and each frame before trusting it.
  * Because frames are stored exactly as StreamingTrace holds them in
- * memory, load() adopts the bytes without decoding a single event, and
- * replay() streams the file one frame at a time through a reused
- * buffer — warm-start memory is one frame, not one trace.
+ * memory, load() adopts the bytes without decoding a single event;
+ * replaying the loaded recording then decodes one frame at a time.
  *
  * One entry per execution key (core::workloadKey renders
  * `name@s<seed>:x<scale>`), qualified by a caller-supplied content hash
@@ -44,9 +43,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
-
-#include "trace/sink.hpp"
 
 namespace lpp::trace {
 
@@ -91,21 +87,6 @@ class TraceStore
      */
     std::optional<StoredTraceInfo> lookup(const std::string &key,
                                           uint64_t params_hash) const;
-
-    /**
-     * Stream the entry straight into `sink`, one frame at a time,
-     * preserving event order and batch boundaries exactly. Each
-     * frame's hash is verified before any of its events is delivered,
-     * and decoded counts are verified against the directory.
-     *
-     * @return false on miss, hash mismatch, or malformed payload — in
-     *         which case nothing may be trusted and the caller must
-     *         fall back to live execution. `sink` may have seen a
-     *         partial stream only if a later frame was malformed
-     *         (never for a simple miss).
-     */
-    bool replay(const std::string &key, uint64_t params_hash,
-                TraceSink &sink) const;
 
     /**
      * Adopt the entry's frames into a recording for repeated replay.

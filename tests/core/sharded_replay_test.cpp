@@ -2,10 +2,10 @@
  * @file
  * Property suite for the sharded intra-workload pipeline: every
  * consumer of a chunked replay — exact reuse distances, precount,
- * block recording, the variable-distance sampler, and the interval
- * profile (cache counters + BBVs) — must be bit-identical to its
- * serial single-replay counterpart at every chunk size (including 1
- * and longer-than-the-trace) and every pool size.
+ * block recording, and the variable-distance sampler — must be
+ * bit-identical to its serial single-replay counterpart at every
+ * chunk size (including 1 and longer-than-the-trace) and every pool
+ * size.
  */
 
 #include <gtest/gtest.h>
@@ -14,7 +14,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "core/evaluation.hpp"
 #include "phase/detector.hpp"
 #include "reuse/sampler.hpp"
 #include "reuse/sharded_reuse.hpp"
@@ -302,69 +301,10 @@ TEST(ShardedReplay, SamplerFedExternalDistancesBitIdentical)
     }
 }
 
-void
-expectSameProfile(const lpp::core::IntervalProfile &sharded,
-                  const lpp::core::IntervalProfile &serial,
-                  uint64_t chunk, size_t threads)
-{
-    ASSERT_EQ(sharded.units.size(), serial.units.size())
-        << "chunk " << chunk << " threads " << threads;
-    for (size_t i = 0; i < sharded.units.size(); ++i) {
-        EXPECT_EQ(sharded.units[i].accesses, serial.units[i].accesses)
-            << "unit " << i << " chunk " << chunk;
-        EXPECT_EQ(sharded.units[i].misses, serial.units[i].misses)
-            << "unit " << i << " chunk " << chunk;
-    }
-    // Bit-identical doubles: the BBV projection accumulates in sorted
-    // block order on both paths.
-    EXPECT_EQ(sharded.bbvs, serial.bbvs)
-        << "chunk " << chunk << " threads " << threads;
-}
-
-TEST(ShardedReplay, IntervalProfileBitIdenticalToSerialCollector)
-{
-    MemoryTrace t = makeTrace(67, 5000, 600, true);
-    for (uint64_t unit : {64ull, 777ull, 10000ull}) {
-        auto serial = lpp::core::collectIntervals(
-            [&](lpp::trace::TraceSink &s) { t.replay(s); }, unit, 16);
-        for (size_t threads : {1u, 4u}) {
-            ThreadPool pool(threads);
-            for (uint64_t chunk : chunkSizes(t.accessCount())) {
-                auto sharded = lpp::core::collectIntervalsSharded(
-                    t, unit, 16, chunk, &pool);
-                expectSameProfile(sharded, serial, chunk, threads);
-            }
-        }
-    }
-}
-
-TEST(ShardedReplay, IntervalProfileHandlesMissingEndEvent)
-{
-    // Without an end event the serial driver drops the trailing
-    // partial unit; the sharded collector must mirror that cut.
-    MemoryTrace t = makeTrace(71, 3001, 200, false);
-    ThreadPool pool(4);
-    for (uint64_t unit : {100ull, 3001ull}) {
-        auto serial = lpp::core::collectIntervals(
-            [&](lpp::trace::TraceSink &s) { t.replay(s); }, unit, 8);
-        for (uint64_t chunk :
-             std::vector<uint64_t>{9, t.accessCount() + 1}) {
-            auto sharded = lpp::core::collectIntervalsSharded(
-                t, unit, 8, chunk, &pool);
-            expectSameProfile(sharded, serial, chunk, 4);
-        }
-    }
-}
-
 TEST(ShardedReplay, EmptyAndTinyTraces)
 {
     ThreadPool pool(2);
     MemoryTrace empty;
-    auto profile =
-        lpp::core::collectIntervalsSharded(empty, 10, 8, 4, &pool);
-    EXPECT_TRUE(profile.units.empty());
-    EXPECT_TRUE(profile.bbvs.empty());
-
     lpp::reuse::ShardedSweepConfig cfg;
     cfg.chunkAccesses = 4;
     auto counts = lpp::reuse::shardedPrecount(empty, cfg, pool);

@@ -1,8 +1,7 @@
 /**
  * @file
- * Codec tests: delta + varint encoding of trace event streams must be
- * a bit-exact inverse of decoding, including access-batch boundaries,
- * and the decoder must reject every form of malformed input.
+ * Content-hash tests: contentHash64, which guards every stored frame
+ * payload and directory, must change under any bit flip or truncation.
  */
 
 #include <gtest/gtest.h>
@@ -10,216 +9,15 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/random.hpp"
 #include "trace/codec.hpp"
-#include "trace/memory_trace.hpp"
 
 namespace {
 
-using lpp::trace::Addr;
-using lpp::trace::MemoryTrace;
-using lpp::trace::TraceEncoder;
-
-/** Records the stream as a flat, comparable event list. */
-struct FlatSink : lpp::trace::TraceSink
-{
-    struct Event
-    {
-        char kind;
-        uint64_t a = 0, b = 0;
-        std::vector<Addr> addrs;
-        bool
-        operator==(const Event &o) const
-        {
-            return kind == o.kind && a == o.a && b == o.b &&
-                   addrs == o.addrs;
-        }
-    };
-    std::vector<Event> events;
-
-    void
-    onBlock(lpp::trace::BlockId block, uint32_t instructions) override
-    {
-        events.push_back({'B', block, instructions, {}});
-    }
-    void
-    onAccess(Addr addr) override
-    {
-        events.push_back({'a', addr, 0, {}});
-    }
-    void
-    onAccessBatch(const Addr *addrs, size_t n) override
-    {
-        events.push_back({'V', n, 0, std::vector<Addr>(addrs, addrs + n)});
-    }
-    void
-    onManualMarker(uint32_t marker_id) override
-    {
-        events.push_back({'M', marker_id, 0, {}});
-    }
-    void
-    onPhaseMarker(lpp::trace::PhaseId phase) override
-    {
-        events.push_back({'P', phase, 0, {}});
-    }
-    void onEnd() override { events.push_back({'E', 0, 0, {}}); }
-};
-
-/** A stream exercising every opcode, batch boundaries, and extreme
- *  address jumps (both directions, full 64-bit range). */
-MemoryTrace
-mixedTrace()
-{
-    MemoryTrace t;
-    t.onBlock(3, 17);
-    t.onAccess(0x10000);
-    t.onAccess(0x10008); // +8 delta
-    t.onAccess(0x0FFF8); // negative delta
-    std::vector<Addr> batch1{0x20000, 0x20008, 0x20010, 0x1FFF0,
-                             0xFFFFFFFFFFFFFFFFull, 0, 42};
-    t.onAccessBatch(batch1.data(), batch1.size());
-    t.onManualMarker(7);
-    t.onBlock(1, 2); // negative block delta
-    std::vector<Addr> batch2{5, 5, 5};
-    t.onAccessBatch(batch2.data(), batch2.size());
-    t.onAccessBatch(batch2.data(), 0); // empty batch survives
-    t.onPhaseMarker(9);
-    t.onAccess(0x30000);
-    t.onEnd();
-    return t;
-}
-
-TEST(TraceCodec, RoundTripPreservesEveryEventAndBatchBoundary)
-{
-    auto trace = mixedTrace();
-    auto payload = lpp::trace::encodeTrace(trace);
-    ASSERT_FALSE(payload.empty());
-
-    FlatSink direct;
-    trace.replay(direct);
-
-    FlatSink decoded;
-    uint64_t events = 0, accesses = 0;
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        decoded, &events, &accesses));
-    EXPECT_EQ(decoded.events, direct.events);
-    EXPECT_EQ(events, trace.eventCount());
-    EXPECT_EQ(accesses, trace.accessCount());
-}
-
-TEST(TraceCodec, EncoderCountsMatchTrace)
-{
-    auto trace = mixedTrace();
-    TraceEncoder enc;
-    trace.replay(enc);
-    EXPECT_EQ(enc.eventCount(), trace.eventCount());
-    EXPECT_EQ(enc.accessCount(), trace.accessCount());
-    EXPECT_EQ(enc.bytes().size(), lpp::trace::encodeTrace(trace).size());
-}
-
-TEST(TraceCodec, LocalStreamsCompressWell)
-{
-    // A sequential sweep (the dominant workload pattern) should cost
-    // far less than the 8 raw bytes per address.
-    MemoryTrace t;
-    std::vector<Addr> batch(4096);
-    Addr a = 0x100000;
-    for (int rep = 0; rep < 8; ++rep) {
-        for (auto &x : batch)
-            x = (a += 8);
-        t.onAccessBatch(batch.data(), batch.size());
-    }
-    t.onEnd();
-    auto payload = lpp::trace::encodeTrace(t);
-    EXPECT_LT(payload.size(), t.accessCount() * 2);
-
-    FlatSink decoded, direct;
-    t.replay(direct);
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        decoded));
-    EXPECT_EQ(decoded.events, direct.events);
-}
-
-TEST(TraceCodec, RandomizedRoundTrip)
-{
-    lpp::Rng rng(12345);
-    MemoryTrace t;
-    std::vector<Addr> batch;
-    for (int i = 0; i < 2000; ++i) {
-        switch (rng.below(6)) {
-          case 0:
-            t.onBlock(static_cast<lpp::trace::BlockId>(rng.below(64)),
-                      static_cast<uint32_t>(rng.below(1000)));
-            break;
-          case 1:
-            t.onAccess(rng.next());
-            break;
-          case 2: {
-            batch.resize(rng.below(300));
-            for (auto &x : batch)
-                x = rng.next();
-            t.onAccessBatch(batch.data(), batch.size());
-            break;
-          }
-          case 3:
-            t.onManualMarker(static_cast<uint32_t>(rng.below(16)));
-            break;
-          case 4:
-            t.onPhaseMarker(
-                static_cast<lpp::trace::PhaseId>(rng.below(16)));
-            break;
-          case 5:
-            t.onEnd();
-            break;
-        }
-    }
-    auto payload = lpp::trace::encodeTrace(t);
-    FlatSink decoded, direct;
-    t.replay(direct);
-    uint64_t events = 0, accesses = 0;
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        decoded, &events, &accesses));
-    EXPECT_EQ(decoded.events, direct.events);
-    EXPECT_EQ(events, t.eventCount());
-    EXPECT_EQ(accesses, t.accessCount());
-}
-
-TEST(TraceCodec, RejectsTruncationAtEveryLength)
-{
-    auto payload = lpp::trace::encodeTrace(mixedTrace());
-    // Decoding any strict prefix must either fail or decode fewer
-    // events — never crash, never read past the buffer.
-    FlatSink full;
-    ASSERT_TRUE(lpp::trace::decodeTrace(payload.data(), payload.size(),
-                                        full));
-    for (size_t cut = 0; cut < payload.size(); ++cut) {
-        FlatSink sink;
-        uint64_t events = 0;
-        bool ok = lpp::trace::decodeTrace(payload.data(), cut, sink,
-                                          &events);
-        if (ok) {
-            EXPECT_LT(events, full.events.size());
-        }
-    }
-}
-
-TEST(TraceCodec, RejectsUnknownOpcodeAndOversizedBatch)
-{
-    std::vector<uint8_t> bad{0xFF};
-    FlatSink sink;
-    EXPECT_FALSE(lpp::trace::decodeTrace(bad.data(), bad.size(), sink));
-
-    // Batch claiming more deltas than bytes remain: must be rejected
-    // before any allocation of that size.
-    std::vector<uint8_t> huge{2 /* Batch */, 0xFF, 0xFF, 0xFF, 0xFF,
-                              0xFF, 0xFF, 0xFF, 0xFF, 0x7F};
-    EXPECT_FALSE(
-        lpp::trace::decodeTrace(huge.data(), huge.size(), sink));
-}
-
 TEST(TraceCodec, ContentHashDetectsBitFlips)
 {
-    auto payload = lpp::trace::encodeTrace(mixedTrace());
+    std::vector<uint8_t> payload(203);
+    for (size_t i = 0; i < payload.size(); ++i)
+        payload[i] = static_cast<uint8_t>(i * 37 + 11);
     auto h = lpp::trace::contentHash64(payload.data(), payload.size());
     for (size_t i = 0; i < payload.size(); i += 7) {
         payload[i] ^= 0x10;

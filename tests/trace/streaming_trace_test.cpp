@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "delivery_log.hpp"
 #include "support/random.hpp"
 #include "trace/memory_trace.hpp"
 #include "trace/sink.hpp"
@@ -24,52 +25,10 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using lpp::test::DeliveryLog;
 using lpp::trace::Addr;
 using lpp::trace::MemoryTrace;
 using lpp::trace::TraceCursor;
-
-/** Records every delivery verbatim, including batch boundaries. */
-class DeliveryLog : public lpp::trace::TraceSink
-{
-  public:
-    void
-    onBlock(lpp::trace::BlockId b, uint32_t instrs) override
-    {
-        log.push_back("B" + std::to_string(b) + ":" +
-                      std::to_string(instrs));
-    }
-
-    void
-    onAccess(Addr a) override
-    {
-        log.push_back("a" + std::to_string(a));
-    }
-
-    void
-    onAccessBatch(const Addr *addrs, size_t n) override
-    {
-        std::string s = "batch" + std::to_string(n) + ":";
-        for (size_t i = 0; i < n; ++i)
-            s += std::to_string(addrs[i]) + ",";
-        log.push_back(s);
-    }
-
-    void
-    onManualMarker(uint32_t id) override
-    {
-        log.push_back("M" + std::to_string(id));
-    }
-
-    void
-    onPhaseMarker(lpp::trace::PhaseId p) override
-    {
-        log.push_back("P" + std::to_string(p));
-    }
-
-    void onEnd() override { log.push_back("E"); }
-
-    std::vector<std::string> log;
-};
 
 /** A mixed stream with strided batches, markers, and some noise. */
 void
@@ -313,11 +272,6 @@ TEST(StreamingTrace, MultiFrameStoreRoundTrip)
     DeliveryLog replayed;
     loaded.replay(replayed);
     EXPECT_EQ(replayed.log, direct.log);
-
-    // Streaming store replay (no adoption) delivers the same stream.
-    DeliveryLog streamed;
-    ASSERT_TRUE(store.replay("w@s1:x1", 9, streamed));
-    EXPECT_EQ(streamed.log, direct.log);
 
     fs::remove_all(dir);
 }

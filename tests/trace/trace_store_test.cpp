@@ -1,8 +1,9 @@
 /**
  * @file
  * Trace-store tests: atomic publication, header-verified lookup,
- * hash-verified replay, and miss semantics on every kind of mismatch
- * (params hash, key, corruption, truncation).
+ * hash-verified load, and miss semantics on every kind of mismatch
+ * (params hash, key, corruption, truncation, hostile header and
+ * directory counts).
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
 #include <vector>
 
+#include "delivery_log.hpp"
 #include "trace/codec.hpp"
 #include "trace/memory_trace.hpp"
 #include "trace/trace_store.hpp"
@@ -22,6 +25,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
+using lpp::test::DeliveryLog;
 using lpp::trace::Addr;
 using lpp::trace::MemoryTrace;
 using lpp::trace::StoredTraceStats;
@@ -56,8 +60,51 @@ class TraceStoreTest : public ::testing::Test
         return t;
     }
 
+    /** @return every delivery a replay of `t` makes, verbatim. */
+    static std::vector<std::string>
+    deliveries(const MemoryTrace &t)
+    {
+        DeliveryLog log;
+        t.replay(log);
+        return log.log;
+    }
+
+    /** Overwrite `bytes` of the file at `path` at offset `at`. */
+    static void
+    patch(const std::string &path, uint64_t at,
+          const std::vector<uint8_t> &bytes)
+    {
+        std::fstream f(path, std::ios::in | std::ios::out |
+                                 std::ios::binary);
+        ASSERT_TRUE(f.good());
+        f.seekp(static_cast<std::streamoff>(at));
+        f.write(reinterpret_cast<const char *>(bytes.data()),
+                static_cast<std::streamsize>(bytes.size()));
+        ASSERT_TRUE(f.good());
+    }
+
+    /** Overwrite one little-endian u64 of the file at `path`. */
+    static void
+    patch64(const std::string &path, uint64_t at, uint64_t v)
+    {
+        std::vector<uint8_t> bytes(8);
+        for (size_t b = 0; b < 8; ++b)
+            bytes[b] = static_cast<uint8_t>(v >> (8 * b));
+        patch(path, at, bytes);
+    }
+
     fs::path dir;
 };
+
+// LPT2 layout the hostile-entry tests forge against: the fixed
+// header, then the key, then 15 u64 fields per directory entry.
+constexpr uint64_t frameCountAt = 44;
+constexpr uint64_t payloadBytesAt = 52;
+constexpr uint64_t indexHashAt = 60;
+constexpr uint64_t headerBytes = 72;
+constexpr uint64_t indexEntryBytes = 15 * 8;
+constexpr uint64_t eventBytesField = 4 * 8;
+constexpr uint64_t storedEventBytesField = 7 * 8;
 
 TEST_F(TraceStoreTest, StoreThenLoadRoundTrips)
 {
@@ -82,9 +129,8 @@ TEST_F(TraceStoreTest, StoreThenLoadRoundTrips)
     EXPECT_EQ(loaded.eventCount(), t.eventCount());
     EXPECT_EQ(loaded.accessCount(), t.accessCount());
 
-    // Replayed streams are bit-identical: re-encode both and compare.
-    EXPECT_EQ(lpp::trace::encodeTrace(loaded),
-              lpp::trace::encodeTrace(t));
+    // Replayed streams are bit-identical, batch boundaries included.
+    EXPECT_EQ(deliveries(loaded), deliveries(t));
 }
 
 TEST_F(TraceStoreTest, MissOnAbsentEntryKeyOrParamsMismatch)
@@ -161,7 +207,7 @@ TEST_F(TraceStoreTest, CorruptFrameDirectoryReadsAsMiss)
 
     // Flip a byte in the frame directory (the region just before the
     // payloads): the header still parses, but the directory hash
-    // mismatch turns load and replay into clean misses.
+    // mismatch turns load into a clean miss that adopts nothing.
     {
         std::fstream f(info->path,
                        std::ios::in | std::ios::out | std::ios::binary);
@@ -179,8 +225,7 @@ TEST_F(TraceStoreTest, CorruptFrameDirectoryReadsAsMiss)
     MemoryTrace out;
     EXPECT_FALSE(store.load("w@s1:x1", 7, out));
     EXPECT_TRUE(out.empty());
-    MemoryTrace sink;
-    EXPECT_FALSE(store.replay("w@s1:x1", 7, sink));
+    EXPECT_TRUE(deliveries(out).empty());
 }
 
 TEST_F(TraceStoreTest, TruncatedEntryReadsAsMiss)
@@ -226,20 +271,100 @@ TEST_F(TraceStoreTest, OverwriteReplacesEntryAtomically)
     EXPECT_TRUE(info->stats.valid);
     MemoryTrace out;
     ASSERT_TRUE(store.load("w@s1:x1", 1, out));
-    EXPECT_EQ(lpp::trace::encodeTrace(out), lpp::trace::encodeTrace(t2));
+    EXPECT_EQ(deliveries(out), deliveries(t2));
 }
 
-TEST_F(TraceStoreTest, ReplayDeliversDirectlyIntoSink)
+TEST_F(TraceStoreTest, HostileHeaderCountsReadAsMiss)
 {
     TraceStore store(dir.string());
     auto t = sampleTrace();
-    store.store("w@s1:x1", 1, t, {});
+    store.store("w@s1:x1", 7, t, {});
+    auto info = store.lookup("w@s1:x1", 7);
+    ASSERT_TRUE(info.has_value());
+    ASSERT_EQ(info->frames, 1u);
+    // The forged payload count below only wraps for a short payload.
+    ASSERT_LT(info->payloadBytes, indexEntryBytes);
+    const std::string path = info->path;
+    std::vector<uint8_t> pristine(info->fileBytes);
+    {
+        std::ifstream in(path, std::ios::binary);
+        in.read(reinterpret_cast<char *>(pristine.data()),
+                static_cast<std::streamsize>(pristine.size()));
+        ASSERT_TRUE(in.good());
+    }
 
-    MemoryTrace sink;
-    ASSERT_TRUE(store.replay("w@s1:x1", 1, sink));
-    EXPECT_EQ(lpp::trace::encodeTrace(sink), lpp::trace::encodeTrace(t));
-    MemoryTrace sink2;
-    EXPECT_FALSE(store.replay("w@s1:x1", 99, sink2));
+    // Each forged header keeps header + key + 120 * frames + payload
+    // equal to the file size modulo 2^64, so only bounding the counts
+    // by the file size exposes it.
+    struct Forged
+    {
+        const char *what;
+        uint64_t frames;
+        uint64_t payload;
+    };
+    const Forged forged[] = {
+        // 2^61 * 120 wraps to zero: the directory "fits" in 120 bytes.
+        {"frameCount + 2^61", info->frames + (1ull << 61),
+         info->payloadBytes},
+        // One extra directory entry paid for by a payload count that
+        // wraps below zero.
+        {"payloadBytes - 120", info->frames + 1,
+         info->payloadBytes - indexEntryBytes},
+    };
+    for (const Forged &f : forged) {
+        SCOPED_TRACE(f.what);
+        patch(path, 0, pristine);
+        patch64(path, frameCountAt, f.frames);
+        patch64(path, payloadBytesAt, f.payload);
+        EXPECT_NO_THROW({
+            EXPECT_FALSE(store.lookup("w@s1:x1", 7).has_value());
+        });
+        MemoryTrace out;
+        EXPECT_NO_THROW({ EXPECT_FALSE(store.load("w@s1:x1", 7, out)); });
+        EXPECT_TRUE(out.empty());
+    }
+}
+
+TEST_F(TraceStoreTest, HostileFrameSizesReadAsMiss)
+{
+    TraceStore store(dir.string());
+    MemoryTrace t;
+    t.setFrameTargetAccesses(4);
+    std::vector<Addr> batch{0x1000, 0x1008, 0x1010, 0x1018};
+    for (uint32_t b = 0; b < 3; ++b) {
+        t.onBlock(b, 10);
+        t.onAccessBatch(batch.data(), batch.size());
+    }
+    t.onEnd();
+    store.store("w@s1:x1", 7, t, {});
+    auto info = store.lookup("w@s1:x1", 7);
+    ASSERT_TRUE(info.has_value());
+    ASSERT_GE(info->frames, 2u);
+
+    // Give the first two frames stored event sections of 2^63 more
+    // bytes each (logical sizes too, so stored <= logical holds). The
+    // per-frame sums wrap back to the header total, and the directory
+    // hash is recomputed, so only the remaining-payload bound rejects
+    // the entry.
+    const uint64_t dirAt = headerBytes + std::string("w@s1:x1").size();
+    std::vector<uint8_t> dirBytes(info->frames * indexEntryBytes);
+    {
+        std::ifstream in(info->path, std::ios::binary);
+        in.seekg(static_cast<std::streamoff>(dirAt));
+        in.read(reinterpret_cast<char *>(dirBytes.data()),
+                static_cast<std::streamsize>(dirBytes.size()));
+        ASSERT_TRUE(in.good());
+    }
+    for (uint64_t frame = 0; frame < 2; ++frame)
+        for (uint64_t field : {eventBytesField, storedEventBytesField})
+            dirBytes[frame * indexEntryBytes + field + 7] ^= 0x80;
+    patch(info->path, dirAt, dirBytes);
+    patch64(info->path, indexHashAt,
+            lpp::trace::contentHash64(dirBytes.data(), dirBytes.size()));
+
+    MemoryTrace out;
+    EXPECT_NO_THROW({ EXPECT_FALSE(store.load("w@s1:x1", 7, out)); });
+    EXPECT_TRUE(out.empty());
 }
 
 } // namespace

@@ -6,14 +6,17 @@
 #   3. tidy        clang-tidy over src/bench/tests     (skips w/o tool)
 #   4. tsa         clang -Wthread-safety -Werror build (skips w/o clang)
 #   5. tier1       tier-1 ctest suite, default preset
-#   6. asan-ubsan  build + tier-1 under Address+UBSan
-#   7. tsan        build + tier-1 under ThreadSanitizer
+#   6. bench       benchmark/run.sh --quick: builds lpp_bench from src/,
+#                  runs its self-test, and checks one traced op per
+#                  workload against the library entry point's digest
+#   7. asan-ubsan  build + tier-1 under Address+UBSan
+#   8. tsan        build + tier-1 under ThreadSanitizer
 #
 # Every step must pass (or be skipped for a missing optional tool) for
-# the gate to exit 0. Steps 6-7 build with LPP_DCHECKS=ON, so debug
+# the gate to exit 0. Steps 7-8 build with LPP_DCHECKS=ON, so debug
 # invariants are exercised under the sanitizers.
 #
-#   LPP_CHECK_FAST=1   skip the sanitizer matrix (steps 6-7)
+#   LPP_CHECK_FAST=1   skip the sanitizer matrix (steps 7-8)
 #   LPP_CHECK_JOBS=N   build parallelism (default: nproc)
 
 set -uo pipefail
@@ -79,6 +82,11 @@ step_tsa() {
 
 step_tier1() { ctest --preset tier1 -j "$JOBS"; }
 
+# The benchmark builds the library from src/ in its own tree, so a
+# src/ change that breaks its build or changes what an op computes
+# fails here rather than only when the benchmark is next run.
+step_bench() { benchmark/run.sh --quick; }
+
 step_sanitizer() { # step_sanitizer <preset>
     local preset=$1
     cmake --preset "$preset" >/dev/null &&
@@ -91,6 +99,7 @@ run_step build step_build
 run_step tidy step_tidy
 run_step tsa step_tsa
 run_step tier1 step_tier1
+run_step bench step_bench
 if [ "$FAST" != "1" ]; then
     run_step asan-ubsan step_sanitizer asan-ubsan
     run_step tsan step_sanitizer tsan
