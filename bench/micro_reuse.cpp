@@ -1,7 +1,9 @@
 /**
  * @file
- * Microbenchmarks for the reuse-distance substrate: exact stack
- * distance tracking and variable-distance sampling throughput.
+ * Microbenchmarks for the reuse-distance substrate: mark maintenance
+ * alone (ReuseStack::touch), the full per-access distance
+ * (ReuseStack::access = touch + distanceSince), and variable-distance
+ * sampling throughput.
  */
 
 #include <benchmark/benchmark.h>
@@ -46,6 +48,21 @@ BM_ReuseStackSweep(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ReuseStackSweep)->Arg(1 << 12)->Arg(1 << 18);
+
+void
+BM_ReuseStackTouchSweep(benchmark::State &state)
+{
+    uint64_t working_set = static_cast<uint64_t>(state.range(0));
+    lpp::reuse::ReuseStack stack;
+    uint64_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stack.touch(i));
+        if (++i == working_set)
+            i = 0;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ReuseStackTouchSweep)->Arg(1 << 12)->Arg(1 << 18);
 
 void
 BM_VariableDistanceSampler(benchmark::State &state)

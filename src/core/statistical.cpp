@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "core/parallel.hpp"
 #include "support/logging.hpp"
 
 namespace lpp::core {
@@ -100,17 +99,6 @@ evaluateStatisticalPrediction(const Replay &replay,
                      static_cast<double>(replay.totalInstructions);
     }
     return m;
-}
-
-std::vector<BandMetrics>
-evaluateStatisticalSweep(
-    const Replay &replay,
-    const std::vector<StatisticalPredictor::Config> &configs)
-{
-    ParallelRunner runner;
-    return runner.mapIndexed(configs.size(), [&](size_t i) {
-        return evaluateStatisticalPrediction(replay, configs[i]);
-    });
 }
 
 } // namespace lpp::core

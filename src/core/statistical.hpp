@@ -100,17 +100,6 @@ BandMetrics
 evaluateStatisticalPrediction(const Replay &replay,
                               StatisticalPredictor::Config cfg = {});
 
-/**
- * Evaluate many predictor configurations against the same replay,
- * fanning the independent replays across the shared thread pool.
- * Results are indexed like `configs`; each entry is bit-identical to
- * evaluateStatisticalPrediction(replay, configs[i]) run serially.
- */
-std::vector<BandMetrics>
-evaluateStatisticalSweep(
-    const Replay &replay,
-    const std::vector<StatisticalPredictor::Config> &configs);
-
 } // namespace lpp::core
 
 #endif // LPP_CORE_STATISTICAL_HPP

@@ -5,98 +5,12 @@
 
 #include "reuse/stack.hpp"
 #include "support/flat_map.hpp"
-#include "support/logging.hpp"
 #include "support/parallel_for.hpp"
 #include "trace/types.hpp"
 
 namespace lpp::reuse {
 
 namespace {
-
-/**
- * Global last-access structure for the sequential boundary resolve:
- * ReuseStack's (FlatMap, Fenwick) core on an internal compacted time
- * axis, with the query/remove and ordered-insert split the resolve
- * needs. Mark counts and prefix queries mirror ReuseStack::access
- * exactly, so resolved distances match the serial stack bit for bit.
- */
-class BoundaryResolver
-{
-  public:
-    explicit BoundaryResolver(size_t reserve_elements)
-        : tree(std::max<size_t>(2 * reserve_elements + 64, 1u << 16))
-    {
-        if (reserve_elements > 0)
-            lastG.reserve(reserve_elements);
-    }
-
-    /**
-     * Number of elements whose last access falls after `element`'s,
-     * removing the element's mark (it now lives in the chunk being
-     * resolved). ReuseStack::infinite if the element was never seen.
-     */
-    uint64_t
-    queryRemove(uint64_t element)
-    {
-        uint64_t *slot = lastG.find(element);
-        if (!slot)
-            return ReuseStack::infinite;
-        uint64_t count = live - tree.prefix(*slot);
-        tree.add(*slot, -1);
-        --live;
-        lastG.erase(element);
-        return count;
-    }
-
-    /**
-     * Record `element`'s new last access. Calls must come in
-     * increasing global-time order; the element must not currently
-     * hold a mark (boundary processing removed it).
-     */
-    void
-    note(uint64_t element)
-    {
-        if (next >= tree.size())
-            compact();
-        LPP_DCHECK(lastG.find(element) == nullptr,
-                   "element %llu still marked at end-of-chunk insert",
-                   static_cast<unsigned long long>(element));
-        lastG.insert(element, next);
-        tree.add(next, +1);
-        ++live;
-        ++next;
-    }
-
-    /** @return distinct elements currently tracked. */
-    uint64_t size() const { return lastG.size(); }
-
-  private:
-    void
-    compact()
-    {
-        std::vector<std::pair<uint64_t, uint64_t>> order; // (time, elem)
-        order.reserve(lastG.size());
-        lastG.forEach([&order](uint64_t element, uint64_t time) {
-            order.emplace_back(time, element);
-        });
-        std::sort(order.begin(), order.end());
-        size_t want = std::max<size_t>(64, 2 * order.size() + 64);
-        tree = FenwickTree(std::max(want, tree.size()));
-        live = 0;
-        next = 0;
-        for (auto &te : order) {
-            *lastG.find(te.second) = next;
-            tree.add(next, +1);
-            ++live;
-            ++next;
-        }
-    }
-
-    FenwickTree tree;
-    support::FlatMap<uint64_t> lastG;
-    uint64_t live = 0;
-    uint64_t next = 0;
-};
 
 /** Per-chunk state of the full sweep's parallel local pass. */
 struct ChunkState
@@ -108,9 +22,9 @@ struct ChunkState
 
 /**
  * Chunk-local pass: exact intra-chunk distances via a private stack
- * sized so it never compacts (its last-access times must stay on the
- * raw local access axis for the end-of-chunk correction), plus the
- * chunk-local block recording.
+ * sized to the chunk so it never compacts, plus the chunk-local block
+ * recording. The end-of-chunk correction reads only the order of its
+ * last-access times.
  */
 class LocalSink : public trace::TraceSink
 {
@@ -166,21 +80,22 @@ localPass(trace::TraceCursor &cursor,
 }
 
 /**
- * Sequential part: resolve the chunk's boundary distances against the
- * global structure, then move every locally-touched element's global
- * mark to its final in-chunk position (in increasing time order, so
- * the resolver's internal axis stays sorted).
+ * Sequential part: resolve the chunk's boundary distances on the global
+ * stack, then move every locally-touched element's mark to its final
+ * in-chunk position (in increasing local time, so the global order
+ * matches the serial stack's after the chunk).
+ *
+ * When the k-th boundary access (element e) is resolved, the chunk's k
+ * earlier boundaries sit newest on the global stack, and every other
+ * mark is where the previous chunks left it. The marks newer than e's
+ * are exactly the distinct elements touched since e's previous access,
+ * so the global stack's own distance is the serial one.
  */
 void
-resolveChunk(ChunkState &st, BoundaryResolver &resolver)
+resolveChunk(ChunkState &st, ReuseStack &global)
 {
-    uint64_t k = 0;
-    for (size_t pos : st.firstTouch) {
-        uint64_t count = resolver.queryRemove(st.chunk.elements[pos]);
-        if (count != ReuseStack::infinite)
-            st.chunk.distances[pos] = k + count;
-        ++k;
-    }
+    for (size_t pos : st.firstTouch)
+        st.chunk.distances[pos] = global.access(st.chunk.elements[pos]);
     std::vector<std::pair<uint64_t, uint64_t>> order; // (local time, elem)
     order.reserve(st.firstTouch.size());
     st.stack.forEachLastAccess([&order](uint64_t element, uint64_t time) {
@@ -188,7 +103,7 @@ resolveChunk(ChunkState &st, BoundaryResolver &resolver)
     });
     std::sort(order.begin(), order.end());
     for (auto &te : order)
-        resolver.note(te.second);
+        global.touch(te.second);
 }
 
 size_t
@@ -283,7 +198,9 @@ shardedReuseSweep(const trace::MemoryTrace &trace,
     TraceCounts counts;
     counts.accesses = trace.accessCount();
     auto ranges = trace.chunks(cfg.chunkAccesses);
-    BoundaryResolver resolver(cfg.reserveElements);
+    ReuseStack global;
+    if (cfg.reserveElements > 0)
+        global.reserveElements(cfg.reserveElements);
 
     const size_t wave = waveSize(pool);
     auto cursors = cursorsFor(trace, wave);
@@ -294,12 +211,12 @@ shardedReuseSweep(const trace::MemoryTrace &trace,
             localPass(cursors[i], ranges[base + i], states[i]);
         });
         for (size_t i = 0; i < n; ++i) {
-            resolveChunk(states[i], resolver);
+            resolveChunk(states[i], global);
             consume(states[i].chunk);
             states[i] = ChunkState{}; // free before the next wave
         }
     }
-    counts.distinctElements = resolver.size();
+    counts.distinctElements = global.distinctCount();
     return counts;
 }
 

@@ -10,23 +10,22 @@
  * chunk has a reuse window entirely inside the chunk, so a chunk-local
  * ReuseStack computes its exact distance with no global knowledge.
  * Only each chunk's *first* access to an element (a "boundary" access)
- * reaches across chunks; those are resolved sequentially against a
- * global last-access structure:
+ * reaches across chunks; those are resolved sequentially on a global
+ * ReuseStack that holds every element's last access before the chunk:
  *
  *   distance(k-th boundary access, element e)
  *     = k                      — distinct elements already touched in
  *                                this chunk (each was an earlier
- *                                boundary access, by definition)
- *     + |{x untouched in this chunk : lastAccess(x) > lastAccess(e)}|
- *                              — served by a Fenwick-over-last-access
- *                                query, with already-resolved boundary
- *                                elements' marks removed so the two
- *                                terms never double-count
+ *                                boundary access, by definition, and
+ *                                resolving it made its mark newest)
+ *     + |{x untouched so far in this chunk :
+ *          lastAccess(x) > lastAccess(e)}|
  *
- * or infinite if e was never seen. After a chunk's boundaries resolve,
- * every element the chunk touched gets its global last-access mark
- * moved to its final in-chunk position, and the next chunk proceeds.
- * Every quantity is an exact integer equal to what the serial stack
+ * which is the global stack's own distance for e, or infinite if e was
+ * never seen. After a chunk's boundaries resolve, every element the
+ * chunk touched gets its global mark moved to its final in-chunk
+ * position, in local-time order, and the next chunk proceeds. Every
+ * quantity is an exact integer equal to what the serial stack
  * computes, so the sharded sweep is bit-identical to the serial pass
  * by construction — the property tests assert this per consumer.
  *

@@ -152,6 +152,16 @@ class FlatMap
                 f(slots[i].first, slots[i].second);
     }
 
+    /** Apply `f(key, value&)` to every entry; `f` may change values. */
+    template <typename F>
+    void
+    forEach(F &&f)
+    {
+        for (size_t i = 0; i < slots.size(); ++i)
+            if (dist[i] != kEmpty)
+                f(slots[i].first, slots[i].second);
+    }
+
     /** @return current slot count (capacity). */
     size_t capacity() const { return slots.size(); }
 

@@ -242,6 +242,18 @@ lzUnpack(const uint8_t *src, size_t n, uint8_t *dst, size_t dst_bytes)
 }
 
 bool
+FrameInfo::sectionSizesValid() const
+{
+    auto valid = [](uint64_t stored, uint64_t logical) {
+        return stored == logical ||
+               (stored < logical && logical <= lzMaxUnpackedBytes(stored));
+    };
+    return valid(storedEventBytes, eventBytes) &&
+           valid(storedBitmapBytes, bitmapBytes) &&
+           valid(storedResidueBytes, residueBytes);
+}
+
+bool
 unpackFrame(const FrameInfo &info, const uint8_t *payload,
             FrameSections &out)
 {
@@ -257,6 +269,8 @@ unpackFrame(const FrameInfo &info, const uint8_t *events,
             const uint8_t *bitmap, const uint8_t *residue,
             FrameSections &out)
 {
+    if (!info.sectionSizesValid())
+        return false;
     const uint8_t *stored[3] = {events, bitmap, residue};
     const uint64_t storedBytes[3] = {info.storedEventBytes,
                                      info.storedBitmapBytes,
@@ -268,8 +282,6 @@ unpackFrame(const FrameInfo &info, const uint8_t *events,
         if (storedBytes[s] == logical[s]) {
             ptrs[s] = stored[s]; // raw: decode in place
         } else {
-            if (storedBytes[s] > logical[s])
-                return false;
             std::vector<uint8_t> &buf = out.scratch[s];
             buf.resize(static_cast<size_t>(logical[s]));
             if (!lzUnpack(stored[s],

@@ -96,6 +96,18 @@ size_t lzPack(const uint8_t *src, size_t n, std::vector<uint8_t> &out);
 bool lzUnpack(const uint8_t *src, size_t n, uint8_t *dst,
               size_t dst_bytes);
 
+/**
+ * @return the most bytes lzUnpack can produce from `stored` bytes. A
+ *         sequence spends a token and two offset bytes on a match of
+ *         at most 19 bytes, and each further length byte adds at most
+ *         255, so no input unpacks to more than 255 bytes per byte.
+ */
+constexpr uint64_t
+lzMaxUnpackedBytes(uint64_t stored)
+{
+    return stored > ~uint64_t{0} / 255 ? ~uint64_t{0} : stored * 255;
+}
+
 // Predictive frame codec ---------------------------------------------
 
 /** Geometry of the address predictor both codec sides run. */
@@ -169,6 +181,16 @@ struct FrameInfo
         return storedEventBytes + storedBitmapBytes +
                storedResidueBytes;
     }
+
+    /**
+     * @return whether every section's (stored, logical) size pair is
+     *         one the encoder can produce: raw (equal), or LZ-packed
+     *         (smaller) to at most lzMaxUnpackedBytes(stored). Checked
+     *         before anything is sized from a logical size, so a forged
+     *         directory cannot ask for more memory than its bytes can
+     *         unpack to.
+     */
+    bool sectionSizesValid() const;
 };
 
 /**
@@ -187,7 +209,8 @@ struct FrameSections
 
 /**
  * Resolve a frame's stored payload into decodable sections. `payload`
- * must hold info.payloadBytes() bytes. Returns false if an LZ-packed
+ * must hold info.payloadBytes() bytes. Returns false if the section
+ * sizes are not valid (FrameInfo::sectionSizesValid) or an LZ-packed
  * section fails to unpack to its logical size (corrupt frame); the
  * caller decides whether that is a clean cache miss (file data) or an
  * invariant violation (in-memory data).

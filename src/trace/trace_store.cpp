@@ -239,11 +239,9 @@ readIndex(OpenEntry &entry, std::vector<FrameInfo> &index)
         if (f.firstEvent != events || f.firstAccess != accesses ||
             f.events == 0)
             return false;
-        // A stored section never exceeds its logical size (packing
-        // that does not shrink is stored raw).
-        if (f.storedEventBytes > f.eventBytes ||
-            f.storedBitmapBytes > f.bitmapBytes ||
-            f.storedResidueBytes > f.residueBytes)
+        // Nothing is sized from a logical size until it has been
+        // bounded by the stored bytes that must unpack to it.
+        if (!f.sectionSizesValid())
             return false;
         if (!take(f.storedEventBytes) || !take(f.storedBitmapBytes) ||
             !take(f.storedResidueBytes))

@@ -2,14 +2,17 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "fenwick_oracle.hpp"
 #include "reuse/stack.hpp"
 #include "support/random.hpp"
 
 namespace {
 
-using lpp::reuse::FenwickTree;
+using lpp::reuse::MarkAxis;
+using lpp::reuse::oracle::FenwickTree;
 using lpp::reuse::ReuseStack;
 
 constexpr uint64_t inf = ReuseStack::infinite;
@@ -59,6 +62,65 @@ TEST(FenwickTree, NegativeUpdates)
     t.add(2, 1);
     EXPECT_EQ(t.prefix(1), 0u);
     EXPECT_EQ(t.prefix(3), 1u);
+}
+
+TEST(MarkAxis, CountMatchesNaiveAcrossBlockAndSuperblockEdges)
+{
+    // 100000 slots: three whole 32768-slot superblocks plus a ragged
+    // tail, so ranges end inside words, blocks, superblocks and the
+    // partial last block.
+    const size_t n = 100000;
+    MarkAxis axis(n);
+    ASSERT_EQ(axis.size(), 100032u);
+    std::vector<bool> naive(axis.size());
+    lpp::Rng rng(17);
+    for (int i = 0; i < 40000; ++i) {
+        size_t slot = rng.below(axis.size());
+        if (naive[slot])
+            axis.clear(slot);
+        else
+            axis.set(slot);
+        naive[slot] = !naive[slot];
+    }
+    auto naive_count = [&naive](size_t lo, size_t hi) {
+        uint64_t c = 0;
+        for (size_t i = lo; i < hi; ++i)
+            c += naive[i];
+        return c;
+    };
+    const size_t edges[] = {0,     1,     63,    64,    511,   512,
+                            513,   4095,  32767, 32768, 32769, 65536,
+                            98304, 99999, 100031, 100032};
+    for (size_t lo : edges)
+        for (size_t hi : edges)
+            ASSERT_EQ(axis.count(lo, hi), lo < hi ? naive_count(lo, hi) : 0)
+                << "[" << lo << ", " << hi << ")";
+    for (int i = 0; i < 300; ++i) {
+        size_t lo = rng.below(axis.size() + 1);
+        size_t hi = rng.below(axis.size() + 1);
+        if (lo > hi)
+            std::swap(lo, hi);
+        ASSERT_EQ(axis.count(lo, hi), naive_count(lo, hi))
+            << "[" << lo << ", " << hi << ")";
+    }
+
+    // A marked slot's rank is the number of marks before it.
+    std::vector<uint64_t> ranks = axis.wordRanks();
+    EXPECT_EQ(ranks.back(), naive_count(0, axis.size()));
+    for (size_t slot = 0; slot < axis.size(); slot += 997)
+        EXPECT_EQ(axis.rank(ranks, slot), naive_count(0, slot));
+}
+
+TEST(MarkAxis, FillPrefixMarksExactlyThePrefix)
+{
+    MarkAxis axis(70000);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{64}, size_t{600},
+                     size_t{32768}, size_t{40000}, axis.size()}) {
+        axis.fillPrefix(n);
+        EXPECT_EQ(axis.count(0, axis.size()), n);
+        EXPECT_EQ(axis.count(0, n), n);
+        EXPECT_EQ(axis.count(n, axis.size()), 0u);
+    }
 }
 
 TEST(ReuseStack, FirstAccessIsInfinite)

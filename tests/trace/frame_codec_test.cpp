@@ -297,4 +297,33 @@ TEST(FrameCodec, InflatedStoredSectionSizeIsRejected)
         lpp::trace::unpackFrame(bad, grown.data(), sections));
 }
 
+TEST(FrameCodec, LogicalSizeBeyondLzExpansionIsRejected)
+{
+    FrameInfo info;
+    std::vector<uint8_t> payload;
+    sampleFrame(info, payload);
+    ASSERT_TRUE(info.sectionSizesValid());
+    // A forged directory declaring a 2^40-byte event section: no LZ
+    // input of storedEventBytes bytes unpacks that far, so unpackFrame
+    // must refuse before sizing a buffer from it.
+    FrameInfo bad = info;
+    bad.eventBytes = uint64_t{1} << 40;
+    ASSERT_LT(lpp::trace::lzMaxUnpackedBytes(bad.storedEventBytes),
+              bad.eventBytes);
+    EXPECT_FALSE(bad.sectionSizesValid());
+    FrameSections sections;
+    EXPECT_NO_THROW(
+        { EXPECT_FALSE(lpp::trace::unpackFrame(bad, payload.data(),
+                                               sections)); });
+    EXPECT_TRUE(sections.scratch[0].empty());
+
+    // The bound is tight enough to be real and loose enough for
+    // everything lzPack emits: a long run packs far below 1/255.
+    std::vector<uint8_t> run(1 << 16, 0xAB), packed;
+    size_t n = lpp::trace::lzPack(run.data(), run.size(), packed);
+    ASSERT_GT(n, 0u);
+    EXPECT_LE(run.size(), lpp::trace::lzMaxUnpackedBytes(n));
+    EXPECT_EQ(lpp::trace::lzMaxUnpackedBytes(~uint64_t{0}), ~uint64_t{0});
+}
+
 } // namespace

@@ -367,4 +367,37 @@ TEST_F(TraceStoreTest, HostileFrameSizesReadAsMiss)
     EXPECT_TRUE(out.empty());
 }
 
+TEST_F(TraceStoreTest, HostileLogicalSectionSizeReadsAsMiss)
+{
+    TraceStore store(dir.string());
+    store.store("w@s1:x1", 7, sampleTrace(), {});
+    auto info = store.lookup("w@s1:x1", 7);
+    ASSERT_TRUE(info.has_value());
+
+    // Declare a 2^40-byte logical event section for the first frame
+    // and recompute the directory hash: the payload and every count
+    // still check out, so only bounding the logical size by what the
+    // stored bytes can unpack to rejects the entry.
+    const uint64_t dirAt = headerBytes + std::string("w@s1:x1").size();
+    std::vector<uint8_t> dirBytes(info->frames * indexEntryBytes);
+    {
+        std::ifstream in(info->path, std::ios::binary);
+        in.seekg(static_cast<std::streamoff>(dirAt));
+        in.read(reinterpret_cast<char *>(dirBytes.data()),
+                static_cast<std::streamsize>(dirBytes.size()));
+        ASSERT_TRUE(in.good());
+    }
+    const uint64_t forged = uint64_t{1} << 40;
+    for (size_t b = 0; b < 8; ++b)
+        dirBytes[eventBytesField + b] =
+            static_cast<uint8_t>(forged >> (8 * b));
+    patch(info->path, dirAt, dirBytes);
+    patch64(info->path, indexHashAt,
+            lpp::trace::contentHash64(dirBytes.data(), dirBytes.size()));
+
+    MemoryTrace out;
+    EXPECT_NO_THROW({ EXPECT_FALSE(store.load("w@s1:x1", 7, out)); });
+    EXPECT_TRUE(out.empty());
+}
+
 } // namespace
