@@ -2,7 +2,8 @@
  * @file
  * Microbenchmarks for the reuse-distance substrate: mark maintenance
  * alone (ReuseStack::touch), the full per-access distance
- * (ReuseStack::access = touch + distanceSince), and variable-distance
+ * (ReuseStack::access = touch + distanceSince), the precount's
+ * distinct-element set (phase::PrecountSink), and variable-distance
  * sampling throughput.
  */
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/parallel.hpp"
+#include "phase/detector.hpp"
 #include "reuse/analyzer.hpp"
 #include "reuse/sampler.hpp"
 #include "reuse/stack.hpp"
@@ -63,6 +65,61 @@ BM_ReuseStackTouchSweep(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_ReuseStackTouchSweep)->Arg(1 << 12)->Arg(1 << 18);
+
+// --- Interleaved sweeps of several arrays, the programs' usual shape ---
+
+constexpr uint64_t kSweepArrays = 4;
+
+/**
+ * Element id of the i-th access of a sweep that visits element j of
+ * each of kSweepArrays arrays of `length` elements in turn (a[j],
+ * b[j], c[j], d[j], a[j+1], ...). The arrays lie back to back from
+ * element 0x2000, where the programs' data starts.
+ */
+uint64_t
+sweepElement(uint64_t i, uint64_t length)
+{
+    return 0x2000 + (i % kSweepArrays) * length + i / kSweepArrays;
+}
+
+void
+BM_ReuseStackTouchMultiArraySweep(benchmark::State &state)
+{
+    // Four arrays of 2^18 8-byte elements: an 8 MiB footprint, past
+    // the L2 cache of common server cores.
+    uint64_t length = static_cast<uint64_t>(state.range(0));
+    uint64_t accesses = kSweepArrays * length;
+    lpp::reuse::ReuseStack stack;
+    stack.reserveElements(accesses);
+    uint64_t i = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stack.touch(sweepElement(i, length)));
+        if (++i == accesses)
+            i = 0;
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ReuseStackTouchMultiArraySweep)->Arg(1 << 18);
+
+void
+BM_PrecountMultiArraySweep(benchmark::State &state)
+{
+    uint64_t length = static_cast<uint64_t>(state.range(0));
+    std::vector<lpp::trace::Addr> addrs(kSweepArrays * length);
+    for (uint64_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = sweepElement(i, length) * lpp::trace::elementBytes;
+    lpp::phase::PrecountSink sink;
+    constexpr size_t batch = 4096;
+    for (auto _ : state) {
+        for (size_t i = 0; i < addrs.size(); i += batch)
+            sink.onAccessBatch(addrs.data() + i,
+                               std::min(batch, addrs.size() - i));
+    }
+    benchmark::DoNotOptimize(sink.stats());
+    state.SetItemsProcessed(
+        static_cast<int64_t>(state.iterations() * addrs.size()));
+}
+BENCHMARK(BM_PrecountMultiArraySweep)->Arg(1 << 18);
 
 void
 BM_VariableDistanceSampler(benchmark::State &state)

@@ -30,7 +30,7 @@
 #include "phase/marker_selection.hpp"
 #include "phase/partition.hpp"
 #include "reuse/sampler.hpp"
-#include "support/flat_map.hpp"
+#include "support/element_table.hpp"
 #include "trace/recorder.hpp"
 #include "trace/sink.hpp"
 #include "wavelet/filtering.hpp"
@@ -108,7 +108,7 @@ class PrecountSink : public trace::TraceSink
 
   private:
     uint64_t accesses = 0;
-    support::FlatMap<uint8_t> elements; //!< used as a set
+    support::ElementTable<uint8_t> elements; //!< used as a set
 };
 
 /** Everything the off-line analysis learned from the training run. */

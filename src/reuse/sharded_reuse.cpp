@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "reuse/stack.hpp"
-#include "support/flat_map.hpp"
+#include "support/element_table.hpp"
 #include "support/parallel_for.hpp"
 #include "trace/types.hpp"
 
@@ -158,7 +158,7 @@ shardedPrecount(const trace::MemoryTrace &trace,
     counts.accesses = trace.accessCount();
     auto ranges = trace.chunks(cfg.chunkAccesses);
 
-    support::FlatMap<uint8_t> seen;
+    support::ElementTable<uint8_t> seen;
     if (cfg.reserveElements > 0)
         seen.reserve(cfg.reserveElements);
 
@@ -169,22 +169,19 @@ shardedPrecount(const trace::MemoryTrace &trace,
         // Per-chunk distinct-element lists, computed in parallel.
         std::vector<std::vector<uint64_t>> locals(n);
         support::parallelFor(pool, n, [&](size_t i) {
-            support::FlatMap<uint8_t> localSeen;
+            support::ElementTable<uint8_t> localSeen;
             std::vector<uint64_t> &distinct = locals[i];
             auto visit = [&](trace::Addr addr) {
                 uint64_t element = trace::toElement(addr);
-                if (!localSeen.find(element)) {
-                    localSeen.insert(element, 1);
+                if (localSeen.insert(element, 0).second)
                     distinct.push_back(element);
-                }
             };
             AccessVisitor sink(visit);
             cursors[i].replayRange(sink, ranges[base + i]);
         });
         for (size_t i = 0; i < n; ++i)
             for (uint64_t element : locals[i])
-                if (!seen.find(element))
-                    seen.insert(element, 1);
+                seen.insert(element, 0);
     }
     counts.distinctElements = seen.size();
     return counts;

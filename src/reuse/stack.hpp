@@ -21,10 +21,10 @@
  * proportional to the number of distinct elements rather than the trace
  * length.
  *
- * The last-access table is the per-access hot probe; it uses the flat
- * robin-hood map (support/flat_map.hpp) instead of std::unordered_map so
- * a lookup is one array walk instead of a bucket pointer chase, and it
- * can be reserved ahead from a workload's address-space size.
+ * The last-access table is the per-access hot probe. It is paged by
+ * element id (support/element_table.hpp), so an array sweep walks its
+ * last-access times in order instead of probing a hash table at random,
+ * and it can be reserved ahead from a workload's address-space size.
  */
 
 #ifndef LPP_REUSE_STACK_HPP
@@ -34,7 +34,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "support/flat_map.hpp"
+#include "support/element_table.hpp"
 #include "support/logging.hpp"
 
 namespace lpp::reuse {
@@ -176,9 +176,8 @@ class ReuseStack
         if (now >= axis.size())
             compact();
         ++accesses;
-        uint64_t *entry = lastTime.find(element);
-        if (!entry) {
-            lastTime.insert(element, now);
+        auto [entry, fresh] = lastTime.insert(element, now);
+        if (fresh) {
             axis.set(now++);
             return Touch{infinite, infinite};
         }
@@ -249,7 +248,7 @@ class ReuseStack
     void compact();
 
     MarkAxis axis;
-    support::FlatMap<uint64_t> lastTime;
+    support::ElementTable<uint64_t> lastTime;
     uint64_t now = 0;
     uint64_t accesses = 0;
 };

@@ -2,13 +2,13 @@
  * @file
  * Open-addressing robin-hood hash map with 64-bit integer keys.
  *
- * The reuse-distance hot loop performs one last-access-table probe per
- * memory access; std::unordered_map pays a pointer chase and an
- * allocation per node there. This map stores entries in one flat array
- * with robin-hood displacement (an inserting entry evicts any resident
- * entry that is closer to its home slot), which bounds probe-length
- * variance and keeps lookups inside one or two cache lines. Deletion
- * uses backward shifting, so no tombstones accumulate.
+ * std::unordered_map pays a pointer chase and an allocation per node.
+ * This map stores entries in one flat array with robin-hood
+ * displacement (an inserting entry evicts any resident entry that is
+ * closer to its home slot), which bounds probe-length variance and
+ * keeps lookups inside one or two cache lines. It is insert-only: the
+ * element table's page directory (support/element_table.hpp) needs
+ * nothing more.
  */
 
 #ifndef LPP_SUPPORT_FLAT_MAP_HPP
@@ -89,9 +89,6 @@ class FlatMap
         return i == kNotFound ? nullptr : &slots[i].second;
     }
 
-    /** @return whether `key` is present. */
-    bool contains(uint64_t key) const { return findIndex(key) != kNotFound; }
-
     /**
      * Insert `(key, value)` if absent.
      * @return pointer to the stored value (new or pre-existing)
@@ -101,45 +98,7 @@ class FlatMap
     {
         if (slots.empty() || (count + 1) * 8 > slots.size() * 7)
             rehash(tableFor(count + 1));
-        return place(key, std::move(value), false);
-    }
-
-    /** Insert or overwrite. @return pointer to the stored value. */
-    Value *
-    assign(uint64_t key, Value value)
-    {
-        if (slots.empty() || (count + 1) * 8 > slots.size() * 7)
-            rehash(tableFor(count + 1));
-        return place(key, std::move(value), true);
-    }
-
-    /** @return reference to the value of `key`, default-inserting it. */
-    Value &operator[](uint64_t key) { return *insert(key, Value{}); }
-
-    /**
-     * Remove `key` (backward-shift deletion).
-     * @return whether the key was present
-     */
-    bool
-    erase(uint64_t key)
-    {
-        size_t i = findIndex(key);
-        if (i == kNotFound)
-            return false;
-        LPP_DCHECK(count > 0, "erase from an empty table");
-        size_t mask = slots.size() - 1;
-        size_t next = (i + 1) & mask;
-        // Shift the displaced run left by one until a home slot (or an
-        // empty slot) terminates it.
-        while (dist[next] > 0 && dist[next] != kEmpty) {
-            slots[i] = std::move(slots[next]);
-            dist[i] = static_cast<uint8_t>(dist[next] - 1);
-            i = next;
-            next = (next + 1) & mask;
-        }
-        dist[i] = kEmpty;
-        --count;
-        return true;
+        return place(key, std::move(value));
     }
 
     /** Apply `f(key, value)` to every entry, in unspecified order. */
@@ -151,19 +110,6 @@ class FlatMap
             if (dist[i] != kEmpty)
                 f(slots[i].first, slots[i].second);
     }
-
-    /** Apply `f(key, value&)` to every entry; `f` may change values. */
-    template <typename F>
-    void
-    forEach(F &&f)
-    {
-        for (size_t i = 0; i < slots.size(); ++i)
-            if (dist[i] != kEmpty)
-                f(slots[i].first, slots[i].second);
-    }
-
-    /** @return current slot count (capacity). */
-    size_t capacity() const { return slots.size(); }
 
   private:
     // dist[i]: probe distance of the entry in slot i (0 = home slot);
@@ -202,7 +148,7 @@ class FlatMap
     }
 
     Value *
-    place(uint64_t key, Value value, bool overwrite)
+    place(uint64_t key, Value value)
     {
         LPP_DCHECK(!slots.empty() && (slots.size() & (slots.size() - 1)) == 0,
                    "table size %zu not a power of two", slots.size());
@@ -220,11 +166,8 @@ class FlatMap
                 ++count;
                 return result ? result : &slots[i].second;
             }
-            if (!result && slots[i].first == carry.first) {
-                if (overwrite)
-                    slots[i].second = std::move(carry.second);
+            if (!result && slots[i].first == carry.first)
                 return &slots[i].second;
-            }
             if (dist[i] < d) {
                 // Rich entry found: displace it and keep probing with
                 // the evicted entry (its key can never equal a later
@@ -259,15 +202,14 @@ class FlatMap
         count = 0;
         for (size_t i = 0; i < old_slots.size(); ++i)
             if (old_dist[i] != kEmpty)
-                place(old_slots[i].first,
-                      std::move(old_slots[i].second), false);
+                place(old_slots[i].first, std::move(old_slots[i].second));
     }
 
     void
     rehashWithCarry(size_t new_capacity, uint64_t key, Value value)
     {
         rehash(new_capacity);
-        place(key, std::move(value), false);
+        place(key, std::move(value));
     }
 
     std::vector<std::pair<uint64_t, Value>> slots;

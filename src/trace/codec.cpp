@@ -197,8 +197,16 @@ lzPack(const uint8_t *src, size_t n, std::vector<uint8_t> &out)
     return packed;
 }
 
+namespace {
+
+/**
+ * Walk the token stream of lzUnpack, with every bounds check. When
+ * Write is false, `dst` is not touched: the walk only proves that the
+ * stream unpacks to exactly `dst_bytes` bytes.
+ */
+template <bool Write>
 bool
-lzUnpack(const uint8_t *src, size_t n, uint8_t *dst, size_t dst_bytes)
+lzWalk(const uint8_t *src, size_t n, uint8_t *dst, size_t dst_bytes)
 {
     const uint8_t *p = src;
     const uint8_t *end = src + n;
@@ -213,7 +221,8 @@ lzUnpack(const uint8_t *src, size_t n, uint8_t *dst, size_t dst_bytes)
         if (literals > static_cast<size_t>(end - p) ||
             literals > dst_bytes - outPos)
             return false;
-        std::copy(p, p + literals, dst + outPos);
+        if constexpr (Write)
+            std::copy(p, p + literals, dst + outPos);
         p += literals;
         outPos += literals;
         if (outPos == dst_bytes)
@@ -231,14 +240,30 @@ lzUnpack(const uint8_t *src, size_t n, uint8_t *dst, size_t dst_bytes)
         matchLen += lzMinMatch;
         if (matchLen > dst_bytes - outPos)
             return false;
-        // Byte-by-byte: overlapping matches (offset < length) are the
-        // run-length case and must replicate forward.
-        const uint8_t *from = dst + outPos - offset;
-        for (size_t i = 0; i < matchLen; ++i)
-            dst[outPos + i] = from[i];
+        if constexpr (Write) {
+            // Byte-by-byte: overlapping matches (offset < length) are
+            // the run-length case and must replicate forward.
+            const uint8_t *from = dst + outPos - offset;
+            for (size_t i = 0; i < matchLen; ++i)
+                dst[outPos + i] = from[i];
+        }
         outPos += matchLen;
     }
     return p == end && outPos == dst_bytes;
+}
+
+} // namespace
+
+bool
+lzUnpack(const uint8_t *src, size_t n, uint8_t *dst, size_t dst_bytes)
+{
+    return lzWalk<true>(src, n, dst, dst_bytes);
+}
+
+bool
+lzCheck(const uint8_t *src, size_t n, size_t dst_bytes)
+{
+    return lzWalk<false>(src, n, nullptr, dst_bytes);
 }
 
 bool
@@ -251,6 +276,24 @@ FrameInfo::sectionSizesValid() const
     return valid(storedEventBytes, eventBytes) &&
            valid(storedBitmapBytes, bitmapBytes) &&
            valid(storedResidueBytes, residueBytes);
+}
+
+bool
+FrameInfo::packedSectionsValid(const uint8_t *payload) const
+{
+    if (!sectionSizesValid())
+        return false;
+    const uint64_t storedBytes[3] = {storedEventBytes, storedBitmapBytes,
+                                     storedResidueBytes};
+    const uint64_t logical[3] = {eventBytes, bitmapBytes, residueBytes};
+    for (int s = 0; s < 3; ++s) {
+        if (storedBytes[s] != logical[s] &&
+            !lzCheck(payload, static_cast<size_t>(storedBytes[s]),
+                     static_cast<size_t>(logical[s])))
+            return false;
+        payload += storedBytes[s];
+    }
+    return true;
 }
 
 bool

@@ -97,6 +97,12 @@ bool lzUnpack(const uint8_t *src, size_t n, uint8_t *dst,
               size_t dst_bytes);
 
 /**
+ * @return whether lzUnpack(src, n, dst, dst_bytes) would succeed: the
+ *         same walk and checks, with no output written.
+ */
+bool lzCheck(const uint8_t *src, size_t n, size_t dst_bytes);
+
+/**
  * @return the most bytes lzUnpack can produce from `stored` bytes. A
  *         sequence spends a token and two offset bytes on a match of
  *         at most 19 bytes, and each further length byte adds at most
@@ -191,6 +197,14 @@ struct FrameInfo
      *         unpack to.
      */
     bool sectionSizesValid() const;
+
+    /**
+     * @return whether the sizes are valid and every LZ-packed section
+     *         of `payload` (payloadBytes() bytes) unpacks to exactly
+     *         its logical size (lzCheck). Unpacks nothing, so a loader
+     *         can reject a forged size before any replay relies on it.
+     */
+    bool packedSectionsValid(const uint8_t *payload) const;
 };
 
 /**

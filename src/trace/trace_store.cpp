@@ -338,10 +338,14 @@ TraceStore::load(const std::string &key, uint64_t params_hash,
     if (!readIndex(entry, index))
         return false;
 
+    // Replay treats a frame that fails to unpack as a broken
+    // invariant, so every packed section is walked here, where a bad
+    // one is still a clean miss.
     std::vector<StreamingTrace::Frame> frames(index.size());
     for (size_t i = 0; i < index.size(); ++i) {
         frames[i].info = index[i];
-        if (!readFramePayload(entry, index[i], frames[i].payload))
+        if (!readFramePayload(entry, index[i], frames[i].payload) ||
+            !index[i].packedSectionsValid(frames[i].payload.data()))
             return false;
     }
     out.adoptFrames(std::move(frames), entry.header.eventCount,

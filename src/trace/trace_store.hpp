@@ -91,8 +91,10 @@ class TraceStore
     /**
      * Adopt the entry's frames into a recording for repeated replay.
      * Zero-decode: the directory and every frame hash are verified,
-     * then the compressed bytes are moved in as-is. The entry's
-     * predictor geometry must match `out`'s; a mismatch is a miss.
+     * and every LZ-packed section's tokens are walked (without
+     * output) to prove it unpacks to its stated size; then the
+     * compressed bytes are moved in as-is. The entry's predictor
+     * geometry must match `out`'s; a mismatch is a miss.
      */
     bool load(const std::string &key, uint64_t params_hash,
               StreamingTrace &out) const;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <unordered_set>
 #include <vector>
 
@@ -209,6 +210,44 @@ TEST(ShardedReplay, PrecountMatchesSerialPrecount)
                 << "chunk " << chunk << " threads " << threads;
             EXPECT_EQ(counts.distinctElements, serial.distinctElements)
                 << "chunk " << chunk << " threads " << threads;
+        }
+    }
+}
+
+TEST(ShardedReplay, PrecountsEqualDistinctSetCount)
+{
+    // Dense: sweeps over one array range with scattered revisits.
+    // Sparse: ids far apart, mostly one per 512-id page, plus the
+    // smallest and largest element ids.
+    SplitMix64 sm(61);
+    std::vector<uint64_t> dense, sparse{0, (uint64_t{1} << 61) - 1};
+    for (uint64_t i = 0; i < 4000; ++i)
+        dense.push_back(0x2000 + (sm.next() % 5 == 0 ? sm.next() % 3000
+                                                     : i % 1500));
+    for (uint64_t i = 0; i < 1500; ++i)
+        sparse.push_back((sm.next() % 700) * 977 * 512 + sm.next() % 512);
+    ThreadPool pool(2);
+    for (const auto *elements : {&dense, &sparse}) {
+        const std::set<uint64_t> distinct(elements->begin(),
+                                          elements->end());
+        MemoryTrace t;
+        for (size_t i = 0; i < elements->size(); ++i) {
+            if (i % 50 == 0)
+                t.onBlock(static_cast<lpp::trace::BlockId>(i % 7), 3);
+            t.onAccess((*elements)[i] * lpp::trace::elementBytes);
+        }
+        t.onEnd();
+
+        auto serial = lpp::phase::PhaseDetector::precountFromTrace(t);
+        EXPECT_EQ(serial.accesses, elements->size());
+        EXPECT_EQ(serial.distinctElements, distinct.size());
+        for (uint64_t chunk : {uint64_t{1}, uint64_t{100},
+                               uint64_t{elements->size() + 1}}) {
+            lpp::reuse::ShardedSweepConfig cfg;
+            cfg.chunkAccesses = chunk;
+            auto counts = lpp::reuse::shardedPrecount(t, cfg, pool);
+            EXPECT_EQ(counts.distinctElements, distinct.size())
+                << "chunk " << chunk;
         }
     }
 }

@@ -5,7 +5,9 @@
  *
  * Distances: ReuseStack::access and touch + distanceSince must equal
  * the reference at every access of seeded random traces, including
- * with capacity hints small enough to compact the axis over and over.
+ * with capacity hints small enough to compact the axis over and over,
+ * and with element ids spread so that the last-access table keeps
+ * creating pages across those compactions.
  *
  * Sampler: a VariableDistanceSampler that streams accesses (and asks
  * its stack for a distance only where a decision depends on one) must
@@ -66,12 +68,29 @@ phasedTrace(uint64_t seed, size_t accesses, uint64_t max_working_set)
     return out;
 }
 
+/**
+ * Gives every fourth element id a last-access-table page of its own
+ * near the top of the id range (element 0 becomes the largest id,
+ * 2^61 - 1); the rest stay dense at the bottom.
+ */
+uint64_t
+sparseKey(uint64_t e)
+{
+    if (e % 4 != 0)
+        return e;
+    constexpr uint64_t page = 512;
+    constexpr uint64_t topPage = ((uint64_t{1} << 61) - 1) / page;
+    uint64_t k = e / 4;
+    return (topPage - k) * page + (k * 37 + page - 1) % page;
+}
+
 struct DistanceCase
 {
     uint64_t seed;
     size_t accesses;
     uint64_t maxWorkingSet;
     size_t capacityHint;
+    bool sparse = false; //!< map ids through sparseKey
 };
 
 void
@@ -79,6 +98,8 @@ PrintTo(const DistanceCase &c, std::ostream *os)
 {
     *os << "seed " << c.seed << ", " << c.accesses << " accesses, ws <= "
         << c.maxWorkingSet << ", hint " << c.capacityHint;
+    if (c.sparse)
+        *os << ", sparse ids";
 }
 
 class StackDifferential : public ::testing::TestWithParam<DistanceCase>
@@ -89,6 +110,9 @@ TEST_P(StackDifferential, DistancesMatchFenwickReference)
     const DistanceCase c = GetParam();
     std::vector<uint64_t> trace =
         phasedTrace(c.seed, c.accesses, c.maxWorkingSet);
+    if (c.sparse)
+        for (uint64_t &e : trace)
+            e = sparseKey(e);
     FenwickReuseStack reference(c.capacityHint);
     ReuseStack whole(c.capacityHint);
     ReuseStack split(c.capacityHint);
@@ -124,7 +148,11 @@ INSTANTIATE_TEST_SUITE_P(
         DistanceCase{4, 100000, 5000, 1u << 16},
         // Footprints past several 32768-slot superblocks.
         DistanceCase{5, 400000, 90000, 1024},
-        DistanceCase{6, 300000, 120000, 1u << 20}));
+        DistanceCase{6, 300000, 120000, 1u << 20},
+        // Pages of the last-access table created mid-run, between and
+        // across compactions.
+        DistanceCase{7, 30000, 400, 8, true},
+        DistanceCase{8, 100000, 3000, 1024, true}));
 
 /** Field-by-field equality of two samplers' observable state. */
 void

@@ -178,6 +178,35 @@ TEST(FrameCodec, LzUnpackSurvivesBitFlips)
     }
 }
 
+TEST(FrameCodec, LzCheckAgreesWithUnpack)
+{
+    std::vector<uint8_t> src;
+    for (int i = 0; i < 800; ++i)
+        src.push_back(static_cast<uint8_t>((i * i) % 11));
+    std::vector<uint8_t> packed;
+    ASSERT_GT(lpp::trace::lzPack(src.data(), src.size(), packed), 0u);
+    EXPECT_TRUE(lpp::trace::lzCheck(packed.data(), packed.size(),
+                                    src.size()));
+
+    // Bit flips, truncations and wrong declared sizes: the walk that
+    // writes nothing must accept exactly what unpacking accepts.
+    std::vector<uint8_t> out(src.size() + 1);
+    auto agree = [&](const std::vector<uint8_t> &in, size_t n,
+                     size_t size) {
+        EXPECT_EQ(lpp::trace::lzCheck(in.data(), n, size),
+                  lpp::trace::lzUnpack(in.data(), n, out.data(), size))
+            << n << " stored bytes, " << size << " declared";
+    };
+    for (size_t byte = 0; byte < packed.size(); ++byte) {
+        std::vector<uint8_t> bad = packed;
+        bad[byte] ^= 0x10;
+        agree(bad, bad.size(), src.size());
+        agree(packed, byte, src.size());
+    }
+    for (size_t size : {size_t{0}, src.size() - 1, src.size() + 1})
+        agree(packed, packed.size(), size);
+}
+
 // Frame corruption --------------------------------------------------
 
 /** One sealed multi-section frame from a mixed recorded stream. */

@@ -400,4 +400,44 @@ TEST_F(TraceStoreTest, HostileLogicalSectionSizeReadsAsMiss)
     EXPECT_TRUE(out.empty());
 }
 
+TEST_F(TraceStoreTest, PlausibleWrongLogicalSectionSizeReadsAsMiss)
+{
+    TraceStore store(dir.string());
+    MemoryTrace t;
+    t.onBlock(1, 10);
+    std::vector<Addr> batch{0x1000, 0x1008, 0x1010, 0x0FF8};
+    t.onAccessBatch(batch.data(), batch.size());
+    t.onAccess(0x2000);
+    t.onEnd();
+    store.store("w@s1:x1", 7, t, {});
+    auto info = store.lookup("w@s1:x1", 7);
+    ASSERT_TRUE(info.has_value());
+
+    // Frame 0's event section is stored raw in 7 bytes. Declare it 8
+    // logical bytes and recompute the directory hash: the section now
+    // reads as LZ-packed, its sizes stay within what 7 stored bytes
+    // could unpack to, and the payload hash still holds, so only
+    // walking the section's tokens tells the entry is bad. Without
+    // that walk, the first replay would abort.
+    const uint64_t dirAt = headerBytes + std::string("w@s1:x1").size();
+    std::vector<uint8_t> dirBytes(info->frames * indexEntryBytes);
+    {
+        std::ifstream in(info->path, std::ios::binary);
+        in.seekg(static_cast<std::streamoff>(dirAt));
+        in.read(reinterpret_cast<char *>(dirBytes.data()),
+                static_cast<std::streamsize>(dirBytes.size()));
+        ASSERT_TRUE(in.good());
+    }
+    ASSERT_EQ(dirBytes[eventBytesField], 7u);
+    ASSERT_EQ(dirBytes[storedEventBytesField], 7u);
+    dirBytes[eventBytesField] = 8;
+    patch(info->path, dirAt, dirBytes);
+    patch64(info->path, indexHashAt,
+            lpp::trace::contentHash64(dirBytes.data(), dirBytes.size()));
+
+    MemoryTrace out;
+    EXPECT_NO_THROW({ EXPECT_FALSE(store.load("w@s1:x1", 7, out)); });
+    EXPECT_TRUE(out.empty());
+}
+
 } // namespace
